@@ -184,10 +184,17 @@ def _build_target(args, ctx: QContext):
 
 def cmd_zeros(args) -> int:
     ctx = _context(args)
+    try:
+        ks = parse_k_range(args.k)
+    except ValueError:
+        print(f"error: --k must be an index or a range lo..hi, got {args.k!r}", file=sys.stderr)
+        return 1
+    if not ks or min(ks) < 1:
+        print(f"error: zero indices must be >= 1, got --k {args.k}", file=sys.stderr)
+        return 1
     directory = cache_dir(args.cache)
     path = cache_path(directory, ctx.q, ctx.nu)
     rows = load_zero_cache(path, ctx.q, ctx.nu)
-    ks = parse_k_range(args.k)
     try:
         for k in ks:
             if k not in rows:
@@ -204,9 +211,21 @@ def cmd_zeros(args) -> int:
 
 def cmd_eval(args) -> int:
     ctx = _context(args)
+    if args.z is not None and not (math.isfinite(args.z) and args.z >= 0.0):
+        print(f"error: --z must be finite and nonnegative, got {args.z}", file=sys.stderr)
+        return 1
+    if args.poly_n is not None and args.poly_n < 0:
+        print(f"error: --poly-n must be >= 0, got {args.poly_n}", file=sys.stderr)
+        return 1
     out = []
     if args.z is not None:
-        ev = bessel_j(ctx, args.z)
+        try:
+            ev = bessel_j(ctx, args.z)
+            evp = bessel_j_prime(ctx, args.z)
+        except (OverflowError, ValueError) as exc:
+            # z beyond the double range, or z = 0 where J or J' is singular
+            print(f"error: cannot evaluate at z={args.z}: {exc}", file=sys.stderr)
+            return 1
         if ev.condition > 1e12:
             print(f"warning: evaluation at z={args.z} survived cancellation "
                   f"{ev.condition:.2e}; trust at most ~{16 - math.log10(ev.condition):.0f} digits",
@@ -214,7 +233,6 @@ def cmd_eval(args) -> int:
         out.append({"kind": "bessel_j", "z": args.z, "value": ev.value,
                     "terms": ev.terms_used, "tail_bound": ev.tail_bound,
                     "condition": ev.condition})
-        evp = bessel_j_prime(ctx, args.z)
         out.append({"kind": "bessel_j_prime", "z": args.z, "value": evp.value,
                     "terms": evp.terms_used, "tail_bound": evp.tail_bound,
                     "condition": evp.condition})
@@ -370,7 +388,7 @@ def _family_difference_relation(cfg) -> dict:
     seed = cfg["seed"]
     worst = 0.0
     for i in range(100):
-        u1, u2, u3 = (qpoly._gamma_sequence(2, seed + 7919 * i))[0:3]
+        u1, u2, u3 = (qpoly.gamma_sequence(2, seed + 7919 * i))[0:3]
         q = 0.1 + 0.425 * (u1 + 1.0)
         nu = min(2.5 * (u2 + 1.0) + 1e-3, 5.0)
         x = (u3 + 1.0) / 2.0 * q**-3

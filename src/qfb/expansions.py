@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .qcore import QContext, GridFunction, q_pochhammer, DEFAULT_GRID_DEPTH
 from .qbessel import bessel_j_prime, bessel_j_qpow
-from .series import FourierCoefficient
+from .series import FourierCoefficient, eta_closed
 from . import zeros as _zeros
 
 
@@ -26,14 +26,6 @@ def power_nu_coefficient(ctx: QContext, k: int) -> float:
     zk = _zeros.find_zero(ctx, k)
     jp = bessel_j_prime(ctx, zk.value).value
     return -2.0 / (ctx.q**ctx.nu * zk.value * jp)
-
-
-def _eta_closed(ctx: QContext, k: int) -> float:
-    """eta_k by its closed form alone (no quadrature cross-check)."""
-    zk = _zeros.find_zero(ctx, k)
-    j_at_q = bessel_j_qpow(ctx, 1 - k, zk.eps_k).value
-    jp = bessel_j_prime(ctx, zk.value).value
-    return -(1.0 - ctx.q) * ctx.q**(ctx.nu - 2.0) / (2.0 * zk.value) * j_at_q * jp
 
 
 def g_nu_mu_target(ctx: QContext, mu: float, x: float) -> float:
@@ -110,7 +102,7 @@ class ClosedFormExpansion:
         return g_nu_mu_coefficient(self.ctx, self.mu, k)
 
     def coefficient_list(self, k_max: int) -> list[FourierCoefficient]:
-        return [FourierCoefficient(k, self.coefficient(k), _eta_closed(self.ctx, k),
+        return [FourierCoefficient(k, self.coefficient(k), eta_closed(self.ctx, k),
                                    "closed-form")
                 for k in range(1, k_max + 1)]
 

@@ -197,7 +197,7 @@ def _rel(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
-def _gamma_sequence(m: int, seed: int) -> list[float]:
+def gamma_sequence(m: int, seed: int) -> list[float]:
     """Deterministic pseudo-random gamma in [-1, 1] (splitmix-style)."""
     out = []
     state = seed & 0xFFFFFFFFFFFFFFFF
@@ -267,7 +267,7 @@ def check_finite_sum_identities(q: float, *, imax: int = 12, jmax: int = 12,
     a0 = [a0_closed(ctx, m) for m in range(mmax + 1)]
     worst = 0.0
     for g in range(n_gamma):
-        gamma = _gamma_sequence(mmax, seed + g)
+        gamma = gamma_sequence(mmax, seed + g)
         for m in range(mmax + 1):
             lhs = sum(a0[lam] * a0[m - lam] * gamma[lam] for lam in range(m + 1))
             rhs = sum(a0[m - 2 * th] * sum(gamma[lam] for lam in range(th, m - th + 1))

@@ -3,24 +3,33 @@ convergence diagnostics, and the coefficient-integral identity cross-check.
 
 The expansion runs over the orthogonal system {J_nu(q j_k x; q^2)}_k with
 squared norms eta_k.  Everything that touches J at grid multiples of a zero
-goes through bessel_j_qpow with the exact exponent offset eps_k, which is
-what keeps the discrete orthogonality residuals at the 1e-15 level instead
-of drowning in cancellation noise.
+reads that zero's column J_nu(q^(n+1) j_k; q^2), n = 0, 1, ..., computed in
+one pass with the exact exponent offset eps_k (qbessel.bessel_j_column) and
+memoised per (ctx, k).  The exact offset is what keeps the discrete
+orthogonality residuals at the 1e-15 level instead of drowning in
+cancellation noise.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .qcore import QContext, GridFunction, NonConvergentTail, q_integral, _kahan_add
-from .qbessel import bessel_j, bessel_j_prime, bessel_j_qpow
+from .qbessel import bessel_j, bessel_j_column, bessel_j_prime, bessel_j_qpow
 from . import zeros as _zeros
 
-_EPS = 2.220446049250313e-16
+# grid depth of the norm and Gram quadratures, and the shortest column kept
+_JACKSON_DEPTH = 320
+# columns kept: every mode of one expansion up to k = 32, at 2.5 kB each
+_COLUMN_CACHE_SIZE = 32
+_COLUMNS: OrderedDict[tuple[QContext, int], np.ndarray] = OrderedDict()
+_COLUMNS_LOCK = threading.Lock()
 
 
 class ConditioningError(ArithmeticError):
@@ -39,43 +48,67 @@ class FourierCoefficient:
             raise ValueError("eta is a squared norm and must be positive")
 
 
-def _grid_bessel(ctx: QContext, n: int, k: int) -> float:
-    """J_nu(q^(n+1) j_k; q^2) via the exact-exponent route."""
-    zk = _zeros.find_zero(ctx, k)
-    return bessel_j_qpow(ctx, n + 1 - k, zk.eps_k).value
+def zero_column(ctx: QContext, k: int, count: int = _JACKSON_DEPTH) -> np.ndarray:
+    """J_nu(q^(n+1) j_k; q^2) for n = 0..count-1 (or further), read-only.
 
-
-def eta_norm_integral(ctx: QContext, k: int, *, depth: int = 320) -> float:
-    """eta_k as the q-integral of [t^(1/2) J_nu(q j_k t; q^2)]^2."""
-    q, tol = ctx.q, ctx.term_tol
-    total = comp = 0.0
-    scale = 0.0
-    last = math.inf
-    for n in range(depth):
-        jn = _grid_bessel(ctx, n, k)
-        term = q**(2 * n) * jn * jn
-        total, comp = _kahan_add(total, comp, term)
-        scale = max(scale, term)
-        if n > k + 2 and term < last and term <= tol * scale:
-            r = term / last if last > 0.0 else 0.0
-            if term * r / (1.0 - r) <= tol * scale:
-                return (1.0 - q) * total
-        last = term if term > 0.0 else last
-    raise NonConvergentTail(f"eta integral not stagnated by depth {depth}")
-
-
-@functools.lru_cache(maxsize=4096)
-def eta_norm(ctx: QContext, k: int) -> float:
-    """Squared norm eta_k, cross-checked between its two formulas.
-
-    Computes both the q-integral and the closed form
-    -(1-q) q^(nu-2) / (2 j_k) * J_nu(q j_k; q^2) * J_nu'(j_k; q^2),
-    requires them to agree to 1e-9 relative, and returns the closed form.
+    Columns are memoised per (ctx, k) in a least-recently-used cache of
+    _COLUMN_CACHE_SIZE entries; a request longer than the stored column
+    recomputes it at the new length.
     """
+    key = (ctx, k)
+    with _COLUMNS_LOCK:
+        col = _COLUMNS.get(key)
+        if col is not None and len(col) >= count:
+            _COLUMNS.move_to_end(key)
+            return col
+    zk = _zeros.find_zero(ctx, k)
+    col = bessel_j_column(ctx, k, zk.eps_k, max(count, _JACKSON_DEPTH)).values
+    with _COLUMNS_LOCK:
+        _COLUMNS[key] = col
+        _COLUMNS.move_to_end(key)
+        while len(_COLUMNS) > _COLUMN_CACHE_SIZE:
+            _COLUMNS.popitem(last=False)
+    return col
+
+
+def _grid_weights(q: float, count: int) -> np.ndarray:
+    """q^(2n) for n = 0..count-1: node times node weight of x h(x) d_q x at
+    x = q^n, the factor (1 - q) left out."""
+    return np.array([q**(2 * n) for n in range(count)])
+
+
+def eta_norm_integral(ctx: QContext, k: int, *, depth: int = _JACKSON_DEPTH) -> float:
+    """eta_k as the q-integral of [t^(1/2) J_nu(q j_k t; q^2)]^2.
+
+    Every term is nonnegative, so the quadrature is one vector sum; it must
+    have stagnated (last term within term_tol of the largest) by depth.
+    """
+    jn = zero_column(ctx, k, depth)[:depth]
+    terms = _grid_weights(ctx.q, depth) * jn * jn
+    if not terms[-1] <= ctx.term_tol * terms.max():
+        raise NonConvergentTail(f"eta integral not stagnated by depth {depth}")
+    return (1.0 - ctx.q) * float(terms.sum())
+
+
+def eta_closed(ctx: QContext, k: int) -> float:
+    """eta_k by its closed form
+    -(1-q) q^(nu-2) / (2 j_k) * J_nu(q j_k; q^2) * J_nu'(j_k; q^2)."""
     zk = _zeros.find_zero(ctx, k)
     j_at_q = bessel_j_qpow(ctx, 1 - k, zk.eps_k).value
     jp = bessel_j_prime(ctx, zk.value).value
-    closed = -(1.0 - ctx.q) * ctx.q**(ctx.nu - 2.0) / (2.0 * zk.value) * j_at_q * jp
+    return -(1.0 - ctx.q) * ctx.q**(ctx.nu - 2.0) / (2.0 * zk.value) * j_at_q * jp
+
+
+@functools.lru_cache(maxsize=256)
+def eta_norm(ctx: QContext, k: int) -> float:
+    """Squared norm eta_k, cross-checked between its two formulas.
+
+    Computes both the q-integral and the closed form (eta_closed), requires
+    them to agree to 1e-9 relative, and returns the closed form.  The check
+    stays in this path on purpose: with the column it costs one sum, and it
+    catches a closed form that the J'(j_k) series has thrown off.
+    """
+    closed = eta_closed(ctx, k)
     integral = eta_norm_integral(ctx, k)
     if abs(closed - integral) > 1e-9 * max(abs(closed), abs(integral)):
         raise ConditioningError(
@@ -97,8 +130,8 @@ def fourier_coefficient(ctx: QContext, f: GridFunction, k: int) -> FourierCoeffi
     tail = None
     if f.tail_exponent is not None:
         tail = f.tail_exponent + 1.0 + ctx.nu
-    vals = tuple(q**n * f.values[n] * _grid_bessel(ctx, n, k)
-                 for n in range(f.depth + 1))
+    jn = zero_column(ctx, k, f.depth + 1).tolist()
+    vals = tuple(q**n * f.values[n] * jn[n] for n in range(f.depth + 1))
     integrand = GridFunction(ctx, vals, tail_exponent=tail)
     eta = eta_norm(ctx, k)
     return FourierCoefficient(k, q_integral(integrand) / eta, eta, "numeric-integral")
@@ -108,7 +141,7 @@ def partial_sum_at_node(ctx: QContext, coeffs: list[FourierCoefficient], n: int)
     """S_K at the grid point x = q^n, all modes on the exact-exponent route."""
     total = comp = 0.0
     for c in coeffs:
-        total, comp = _kahan_add(total, comp, c.value * _grid_bessel(ctx, n, c.k))
+        total, comp = _kahan_add(total, comp, c.value * float(zero_column(ctx, c.k, n + 1)[n]))
     return total
 
 
@@ -208,25 +241,18 @@ def convergence_report(ctx: QContext, f: GridFunction, k_max: int = 40,
     else:
         coeffs = list(coeffs[:k_max])
 
-    jn = {(n, c.k): _grid_bessel(ctx, n, c.k) for c in coeffs for n in range(n_grid + 1)}
-    running = [0.0] * (n_grid + 1)
+    target = np.array(f.values[:n_grid + 1])
+    running = np.zeros(n_grid + 1)
     errors: list[list[float]] = []
     sup_errors: list[float] = []
     term_sup: list[float] = []
     for c in coeffs:
-        row = []
-        sup = 0.0
-        tmax = 0.0
-        for n in range(n_grid + 1):
-            t = c.value * jn[(n, c.k)]
-            tmax = max(tmax, abs(t))
-            running[n] += t
-            e = abs(f.values[n] - running[n])
-            row.append(e)
-            sup = max(sup, e)
-        errors.append(row)
-        sup_errors.append(sup)
-        term_sup.append(tmax)
+        t = c.value * zero_column(ctx, c.k, n_grid + 1)[:n_grid + 1]
+        running += t
+        row = np.abs(target - running)
+        errors.append(row.tolist())
+        sup_errors.append(float(row.max()))
+        term_sup.append(float(np.abs(t).max()))
 
     scale0 = max(sup_errors) if sup_errors else 1.0
     pts = [(K + 1.0, math.log(s)) for K, s in enumerate(sup_errors)
@@ -280,13 +306,6 @@ def _weighted_l2_finite(f: GridFunction) -> bool:
     return total == 0.0 or last <= 1e-6 * total
 
 
-def l2_norm_sq(ctx: QContext, f: GridFunction) -> float:
-    """Squared L^2_q norm of f over (0, 1)."""
-    vals = tuple(v * v for v in f.values)
-    tail = 2.0 * f.tail_exponent if f.tail_exponent is not None else None
-    return q_integral(GridFunction(ctx, vals, tail_exponent=tail))
-
-
 def weighted_norm_sq(ctx: QContext, f: GridFunction) -> float:
     """Squared norm of t^(1/2) f, the member of L^2_q the expansion works on."""
     q = ctx.q
@@ -316,26 +335,15 @@ def parseval_defect(ctx: QContext, f: GridFunction, k_max: int) -> float:
     return abs(total - acc)
 
 
-def gram_integral(ctx: QContext, n: int, m: int, *, depth: int = 320) -> float:
+def gram_integral(ctx: QContext, n: int, m: int, *, depth: int = _JACKSON_DEPTH) -> float:
     """Integral of x J_nu(j_n q x) J_nu(j_m q x) d_q x over (0, 1).
 
-    Vanishes for n != m and equals eta_n on the diagonal.
+    Vanishes for n != m and equals eta_n on the diagonal.  The terms cancel
+    off the diagonal, so all depth of them are summed exactly rounded.
     """
-    q, tol = ctx.q, ctx.term_tol
-    total = comp = 0.0
-    scale = 0.0
-    prev = last = 0.0
-    for l in range(depth):
-        term = q**(2 * l) * _grid_bessel(ctx, l, n) * _grid_bessel(ctx, l, m)
-        total, comp = _kahan_add(total, comp, term)
-        scale = max(scale, abs(term))
-        if term != 0.0:
-            prev, last = last, term
-        if l > max(n, m) + 4 and prev != 0.0:
-            r = abs(last / prev)
-            if r < 1.0 and abs(last) <= tol * scale and abs(last) * r / (1.0 - r) <= tol * scale:
-                break
-    return (1.0 - q) * total
+    terms = (_grid_weights(ctx.q, depth) * zero_column(ctx, n, depth)[:depth]
+             * zero_column(ctx, m, depth)[:depth])
+    return (1.0 - ctx.q) * math.fsum(terms.tolist())
 
 
 def check_coefficient_integral_identity(ctx: QContext, f: GridFunction, k: int) -> float:
@@ -349,24 +357,12 @@ def check_coefficient_integral_identity(ctx: QContext, f: GridFunction, k: int) 
     zk = _zeros.find_zero(ctx, k)
     depth = f.depth
 
-    jn = [bessel_j_qpow(ctx, l + 1 - k, zk.eps_k).value for l in range(depth + 1)]
+    jn = zero_column(ctx, k, depth).tolist()
 
     def jackson(series_term) -> float:
-        total = comp = 0.0
-        scale = 0.0
-        prev = last = 0.0
-        for l in range(depth):
-            term = series_term(l)
-            total, comp = _kahan_add(total, comp, term)
-            scale = max(scale, abs(term))
-            if term != 0.0:
-                prev, last = last, term
-            if l > k + 4 and prev != 0.0:
-                r = abs(last / prev)
-                if (r < 1.0 and abs(last) <= ctx.term_tol * scale
-                        and abs(last) * r / (1.0 - r) <= ctx.term_tol * scale):
-                    break
-        return (1.0 - q) * total
+        # the integrands oscillate with the column, so their sums are
+        # rounded exactly, over the whole grid
+        return (1.0 - q) * math.fsum(series_term(l) for l in range(depth))
 
     lhs = jackson(lambda l: q**(2 * l) * f.values[l] * jn[l])
 

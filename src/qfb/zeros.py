@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .qcore import QContext, q_pochhammer
@@ -24,6 +25,7 @@ from .qbessel import bessel_j, bessel_j_prime, bessel_j_qpow
 
 _BISECT_STEPS = 400
 _SCAN_BISECT_STEPS = 80
+_UNIT = 2.0 ** -53  # binary64 unit roundoff
 
 
 class OutOfRegimeError(ValueError):
@@ -139,11 +141,15 @@ def _find_certified(ctx: QContext, k: int) -> BesselZero:
     if hi < 1e-300:
         eps = 0.0
     q = ctx.q
+    # each end is q**(-k + w) rounded to nearest: the exponent sum is off by
+    # up to k/2 ulp and pow by another half ulp, so for tiny eps_k an end
+    # could land on or past j_k; twice that rounding moves the ends outward
+    out = _UNIT * 2.0 * (2.0 + k * abs(math.log(q)))
     return BesselZero(
         k=k,
         value=q**(-k + eps),
-        bracket_lo=q**(-k + w_hi),
-        bracket_hi=q**(-k + w_lo),
+        bracket_lo=q**(-k + w_hi) * (1.0 - out),
+        bracket_hi=q**(-k + w_lo) * (1.0 + out),
         eps_k=eps,
         alpha_k=alpha,
         certified=certified and 0.0 < eps < alpha,
@@ -223,12 +229,14 @@ def _scan_below_regime(ctx: QContext, k0: int) -> list[BesselZero]:
             for idx, (a, b) in enumerate(brackets, start=1)]
 
 
-_CACHE: dict[tuple[float, float, float], dict[int, BesselZero]] = {}
+# zero tables of the most recently used contexts, least recently used out first
+_CACHE_CONTEXTS = 32
+_CACHE: OrderedDict[tuple[float, float, float, int], dict[int, BesselZero]] = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 
 
-def _cache_key(ctx: QContext) -> tuple[float, float, float]:
-    return (round(ctx.q, 12), round(ctx.nu, 12), ctx.term_tol)
+def _cache_key(ctx: QContext) -> tuple[float, float, float, int]:
+    return (round(ctx.q, 12), round(ctx.nu, 12), ctx.term_tol, ctx.max_terms)
 
 
 def find_zero(ctx: QContext, k: int) -> BesselZero:
@@ -238,6 +246,9 @@ def find_zero(ctx: QContext, k: int) -> BesselZero:
     key = _cache_key(ctx)
     with _CACHE_LOCK:
         table = _CACHE.setdefault(key, {})
+        _CACHE.move_to_end(key)
+        while len(_CACHE) > _CACHE_CONTEXTS:
+            _CACHE.popitem(last=False)
         if k in table:
             return table[k]
     k0 = regime_start(ctx)
@@ -249,12 +260,12 @@ def find_zero(ctx: QContext, k: int) -> BesselZero:
             brackets = _scan_brackets(ctx, ctx.q**-k, k)
             zk = _refine_scan_bracket(ctx, k, *brackets[-1])
         with _CACHE_LOCK:
-            _CACHE[key][k] = zk
+            table[k] = zk
         return zk
     scanned = _scan_below_regime(ctx, k0)
     with _CACHE_LOCK:
         for z in scanned:
-            _CACHE[key].setdefault(z.k, z)
+            table.setdefault(z.k, z)
     return scanned[k - 1]
 
 

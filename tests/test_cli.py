@@ -82,6 +82,22 @@ class TestEvalCommand:
         assert code == 1
         assert "eval needs" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--z", "nan"],
+        ["eval", "--z", "1e20"],
+        ["eval", "--z", "1e200"],
+        ["eval", "--z", "-1"],
+        ["eval", "--z", "0", "--nu", "0.5"],
+        ["eval", "--poly-n", "-1"],
+        ["zeros", "--k", "0"],
+        ["zeros", "--k", "two"],
+    ])
+    def test_invalid_parameters_exit_one(self, argv, capsys, tmp_path):
+        code, out, err = run_cli(argv + ["--cache", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.startswith("error: ") or "\nerror: " in err
+        assert out == ""
+
 
 class TestCoeffsAndExpand:
     def test_power_closed_vs_numeric_columns(self, capsys):

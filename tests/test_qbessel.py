@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from qfb.qcore import QContext
 from qfb.qbessel import (
     bessel_j,
+    bessel_j_column,
     bessel_j_prime,
     bessel_j_qpow,
     check_difference_relation,
@@ -12,11 +14,34 @@ from qfb.qbessel import (
     check_shift_identity,
     _prefactor,
 )
-from qfb import zeros
-from qfb.qpoly import _gamma_sequence
+from qfb import highprec, zeros
+from qfb.qpoly import gamma_sequence
 
 
 CTX = QContext(0.5, 1.0)
+
+
+def mp_bessel_j(q, nu, z, dps):
+    """J_nu(z; q^2) from its defining power series, at dps digits; q, nu and
+    z are taken as exact binary values (z may be an mpf)."""
+    with mp.workdps(dps):
+        q, nu, z = mp.mpf(q), mp.mpf(nu), mp.mpf(z)
+        p = q * q
+        floor = mp.mpf(10) ** (-dps - 5)
+
+        def poch_inf(a):
+            out, x = mp.mpf(1), a
+            while abs(x) > floor:
+                out *= 1 - x
+                x *= p
+            return out
+
+        total, term, m = mp.mpf(0), mp.mpf(1), 0
+        while m < 20 or abs(term) > floor * abs(total):
+            total += term
+            term *= -(z * z) * p ** (m + 1) / ((1 - p ** (nu + 1 + m)) * (1 - p ** (m + 1)))
+            m += 1
+        return z ** nu * poch_inf(p ** (nu + 1)) / poch_inf(p) * total
 
 
 class TestBesselJ:
@@ -94,6 +119,59 @@ class TestBesselJQpow:
         assert abs(val) == lhs
 
 
+class TestTailBound:
+    def test_series_route_covers_rounded_argument_power(self):
+        # q^(256 + eps_1) rounds its exponent, which z^nu amplifies by nu
+        ctx = QContext(0.4, 2.3)
+        eps = zeros.find_zero(ctx, 1).eps_k
+        ev = bessel_j_qpow(ctx, 256, eps)
+        with mp.workdps(60):
+            z = mp.mpf(0.4) ** (256 + mp.mpf(eps))
+            want = mp_bessel_j(0.4, 2.3, z, 60)
+            assert abs(mp.mpf(ev.value) - want) <= ev.tail_bound
+
+    @pytest.mark.parametrize("q,nu,z", [
+        (0.359429, 2.730716, 18892084.0602),
+        (0.3141, 2.1678, 16023591.9888),
+    ])
+    def test_product_route_covers_prefactor_rounding(self, q, nu, z):
+        ev = bessel_j(QContext(q, nu), z)
+        want = mp_bessel_j(q, nu, z, 200)
+        with mp.workdps(200):
+            assert abs(mp.mpf(ev.value) - want) <= ev.tail_bound
+
+
+class TestBesselJColumn:
+    @pytest.mark.parametrize("q", [0.4, 0.5, 0.8])
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.5])
+    def test_matches_scalar_entry_by_entry(self, q, nu):
+        ctx = QContext(q, nu)
+        for k in range(1, 21):
+            eps = zeros.find_zero(ctx, k).eps_k
+            col = bessel_j_column(ctx, k, eps, 257)
+            for n in range(257):
+                ev = bessel_j_qpow(ctx, n + 1 - k, eps)
+                assert abs(col.values[n] - ev.value) <= col.tail_bound[n] + ev.tail_bound, (k, n)
+
+    @pytest.mark.parametrize("q,nu", [(0.4, 2.5), (0.5, 1.0), (0.8, 0.5)])
+    def test_sampled_entries_match_mp_column(self, q, nu):
+        ctx = QContext(q, nu)
+        for k in (1, 6, 20):
+            eps = zeros.find_zero(ctx, k).eps_k
+            col = bessel_j_column(ctx, k, eps, 257)
+            with mp.workdps(40):
+                ref = highprec.ZeroColumn(q, nu, nu, k, eps)
+                for n in sorted({0, 1, k - 1, k, 2 * k, 64, 256}):
+                    gap = abs(mp.mpf(col.values[n]) - ref.j_at(n + 1))
+                    assert gap <= col.tail_bound[n], (k, n)
+
+    def test_overflow_and_bad_arguments(self):
+        with pytest.raises(OverflowError):
+            bessel_j_column(CTX, 40, 0.5, 8)  # midway between far zeros
+        with pytest.raises(ValueError):
+            bessel_j_column(CTX, 0, 0.0, 8)
+
+
 class TestBesselJPrime:
     def test_central_difference_oracle(self):
         h = 1e-5
@@ -133,7 +211,7 @@ class TestDifferenceRelation:
 
     def test_hundred_random_samples(self):
         for i in range(100):
-            u1, u2, u3 = _gamma_sequence(2, 999 + 104729 * i)[:3]
+            u1, u2, u3 = gamma_sequence(2, 999 + 104729 * i)[:3]
             q = 0.1 + 0.425 * (u1 + 1.0)
             nu = min(2.5 * (u2 + 1.0) + 1e-3, 5.0)
             x = (u3 + 1.0) / 2.0 * q**-3

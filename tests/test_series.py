@@ -1,13 +1,15 @@
 import math
+from collections import OrderedDict
 
 import pytest
 
 from qfb.qcore import QContext, GridFunction
 from qfb.qbessel import bessel_j_prime, bessel_j_qpow
-from qfb import zeros
+from qfb import series, zeros
 from qfb.series import (
     ConditioningError,
     FourierCoefficient,
+    eta_closed,
     eta_norm,
     eta_norm_integral,
     fourier_coefficient,
@@ -40,6 +42,7 @@ class TestEtaNorm:
     def test_routes_agree(self):
         for k in (1, 2, 5, 10):
             closed = eta_norm(CTX1, k)
+            assert closed == eta_closed(CTX1, k)
             integral = eta_norm_integral(CTX1, k)
             assert closed == pytest.approx(integral, rel=1e-9)
 
@@ -51,6 +54,28 @@ class TestEtaNorm:
         j_up = bessel_j_qpow(ctx.with_order(2.0), 0, zk.eps_k).value
         middle = -(1.0 - ctx.q) / 2.0 * ctx.q**(ctx.nu - 1.0) * j_up * jp
         assert middle == pytest.approx(eta_norm(ctx, 1), rel=1e-13)
+
+
+class TestZeroColumn:
+    def test_memoised_and_grown_on_demand(self):
+        col = series.zero_column(CTX1, 3, 40)
+        assert series.zero_column(CTX1, 3, 40) is col
+        longer = series.zero_column(CTX1, 3, len(col) + 10)
+        assert len(longer) >= len(col) + 10
+        assert list(longer[:len(col)]) == list(col)
+        with pytest.raises(ValueError):
+            col[0] = 1.0  # shared between callers, so read-only
+
+    def test_cache_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(series, "_COLUMNS", OrderedDict())
+        monkeypatch.setattr(series, "_COLUMN_CACHE_SIZE", 4)
+        contexts = [QContext(0.5, 1.0 + 0.25 * i) for i in range(6)]
+        for ctx in contexts:
+            series.zero_column(ctx, 1)
+            assert len(series._COLUMNS) <= 4
+        # least recently used first out
+        assert (contexts[-1], 1) in series._COLUMNS
+        assert (contexts[0], 1) not in series._COLUMNS
 
 
 class TestOrthogonality:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from qfb.qcore import QContext
+from qfb import zeros
 from qfb.qbessel import bessel_j
 from qfb.zeros import (
     OutOfRegimeError,
@@ -78,6 +79,16 @@ class TestFindZero:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             find_zero(CTX, 0)
+
+    @pytest.mark.parametrize("k", [3, 5, 7, 8, 9, 12])
+    def test_bracket_rounded_outward(self, k):
+        # eps_k is far below one ulp of k here, so ends rounded to nearest
+        # would coincide with the value or fall on its wrong side
+        zk = find_zero(QContext(0.3, 3.0), k)
+        assert zk.bracket_lo < zk.value < zk.bracket_hi
+
+    def test_cache_key_includes_max_terms(self):
+        assert zeros._cache_key(QContext(0.5, 1.0, max_terms=100)) != zeros._cache_key(CTX)
 
 
 class TestBelowRegimeScan:
