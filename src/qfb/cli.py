@@ -226,7 +226,8 @@ def cmd_eval(args) -> int:
             # z beyond the double range, or z = 0 where J or J' is singular
             print(f"error: cannot evaluate at z={args.z}: {exc}", file=sys.stderr)
             return 1
-        if ev.condition > 1e12:
+        # J = 0 exactly (z = 0) has no cancellation to warn about
+        if ev.value != 0.0 and ev.condition > 1e12:
             print(f"warning: evaluation at z={args.z} survived cancellation "
                   f"{ev.condition:.2e}; trust at most ~{16 - math.log10(ev.condition):.0f} digits",
                   file=sys.stderr)

@@ -86,15 +86,19 @@ def poly_p_by_recurrence(ctx: QContext, n: int) -> PolyP:
     return PolyP(n, tuple(cur), ctx)
 
 
-def _poch_p(p: float, power: int, length: int, cache: dict) -> float:
-    """(p^power; p)_length with memoization over (power, length)."""
-    key = (power, length)
-    if key not in cache:
-        out = 1.0
+def poch_prefix_table(q: float, powers, length: int) -> dict[int, list[float]]:
+    """{power: [(q^power; q)_n for n = 0..length]} for integer powers.
+
+    Each row is one left-to-right running product of the factors
+    1 - q^(power + i), so every entry equals the direct product bit for bit.
+    """
+    table = {}
+    for power in powers:
+        row = [1.0]
         for i in range(length):
-            out *= 1.0 - p**(power + i)
-        cache[key] = out
-    return cache[key]
+            row.append(row[-1] * (1.0 - q**(power + i)))
+        table[power] = row
+    return table
 
 
 def poly_p_explicit(ctx: QContext, n: int) -> PolyP:
@@ -102,18 +106,18 @@ def poly_p_explicit(ctx: QContext, n: int) -> PolyP:
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     q, nu, p = ctx.q, ctx.nu, ctx.p
-    cache: dict = {}
+    P = poch_prefix_table(p, range(n + 3), n + 1)
     a0 = [a0_closed(ctx, m) for m in range(n + 1)]
     coeffs = []
     for j in range(n + 1):
         s = 0.0
         for i in range((n - j) // 2 + 1):
             s += (a0[n - j - 2 * i] * p**i
-                  * _poch_p(p, j, i, cache) / _poch_p(p, 1, i, cache)
-                  * _poch_p(p, 1 + j, n - j - 2 * i, cache)
-                  / _poch_p(p, 1, n - j - 2 * i, cache)
-                  * _poch_p(p, 1 + n - 2 * i, i, cache)
-                  / _poch_p(p, n - j - 2 * i + 2, i, cache))
+                  * P[j][i] / P[1][i]
+                  * P[1 + j][n - j - 2 * i]
+                  / P[1][n - j - 2 * i]
+                  * P[1 + n - 2 * i][i]
+                  / P[n - j - 2 * i + 2][i])
         sign = -1.0 if j % 2 else 1.0
         coeffs.append(sign * q**(j * (j + 1.0 - nu)) * s)
     return PolyP(n, tuple(coeffs), ctx)
@@ -124,18 +128,18 @@ def poly_p_explicit_alt(ctx: QContext, n: int) -> PolyP:
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     q, nu, p = ctx.q, ctx.nu, ctx.p
-    cache: dict = {}
+    P = poch_prefix_table(p, range(n + 3), n + 1)
     a0 = [a0_closed(ctx, m) for m in range(n + 1)]
     coeffs = []
     for j in range(n + 1):
         s = 0.0
         for i in range((n - j) // 2 + 1):
             s += (a0[n - j - 2 * i] * p**i
-                  * _poch_p(p, j, i, cache) / _poch_p(p, 1, i, cache)
-                  * _poch_p(p, 1 + j, n - j - i, cache)
-                  / _poch_p(p, 1, n - j - i, cache)
-                  * _poch_p(p, 1 + n - j - 2 * i, 1, cache)
-                  / _poch_p(p, 1 + n - j - i, 1, cache))
+                  * P[j][i] / P[1][i]
+                  * P[1 + j][n - j - i]
+                  / P[1][n - j - i]
+                  * P[1 + n - j - 2 * i][1]
+                  / P[1 + n - j - i][1])
         sign = -1.0 if j % 2 else 1.0
         coeffs.append(sign * q**(j * (j + 1.0 - nu)) * s)
     return PolyP(n, tuple(coeffs), ctx)
@@ -185,14 +189,6 @@ def factorization_error_budget(ctx: QContext, n: int, k: int) -> float:
             + mag * j_at_q.tail_bound + 16.0 * _EPS * (abs(lhs.value) + abs(j_at_q.value) * mag))
 
 
-def _poch_int(q: float, power: int, length: int) -> float:
-    """(q^power; q)_length for integer power (may be <= 0 via direct product)."""
-    out = 1.0
-    for i in range(length):
-        out *= 1.0 - q**(power + i)
-    return out
-
-
 def _rel(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
@@ -226,13 +222,14 @@ def check_finite_sum_identities(q: float, *, imax: int = 12, jmax: int = 12,
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     res: dict[str, float] = {}
+    # P[power][n] = (q^power; q)_n for every power and length the sums use
+    P = poch_prefix_table(q, range(-1, imax + jmax + 2), imax + nmax)
 
     worst = 0.0
     for j in range(jmax + 1):
         for i in range(imax + 1):
-            lhs = sum(q**k * _poch_int(q, j, k) / _poch_int(q, 1, k)
-                      for k in range(i + 1))
-            rhs = _poch_int(q, 1 + j, i) / _poch_int(q, 1, i)
+            lhs = sum(q**k * P[j][k] / P[1][k] for k in range(i + 1))
+            rhs = P[1 + j][i] / P[1][i]
             worst = max(worst, _rel(lhs, rhs))
     res["partial_sum"] = worst
 
@@ -240,11 +237,11 @@ def check_finite_sum_identities(q: float, *, imax: int = 12, jmax: int = 12,
     for lam in range(nmax + 1):
         for j in range(jmax + 1):
             for i in range(imax + 1):
-                lhs = sum(q**(2 * k) * _poch_int(q, j - 1, k) / _poch_int(q, 1, k)
+                lhs = sum(q**(2 * k) * P[j - 1][k] / P[1][k]
                           * (1.0 - q**(1 + i + lam - k))
                           for k in range(i + 1))
-                rhs = ((1.0 - q) * _poch_int(q, j + 1, i) / _poch_int(q, 1, i)
-                       + (1.0 - q**lam) * q**(1 + i) * _poch_int(q, j, i) / _poch_int(q, 1, i))
+                rhs = ((1.0 - q) * P[j + 1][i] / P[1][i]
+                       + (1.0 - q**lam) * q**(1 + i) * P[j][i] / P[1][i])
                 worst = max(worst, _rel(lhs, rhs))
     res["shifted_linear"] = worst
 
@@ -254,11 +251,11 @@ def check_finite_sum_identities(q: float, *, imax: int = 12, jmax: int = 12,
             for i in range(imax + 1):
                 lhs = 0.0
                 for k in range(i + 1):
-                    inner = sum(q**lam * _poch_int(q, j + i, lam) / _poch_int(q, 1 + i, lam)
+                    inner = sum(q**lam * P[j + i][lam] / P[1 + i][lam]
                                 * (1.0 - q**(1 + i + lam - k)) / (1.0 - q**(1 + i + lam))
                                 for lam in range(n + 1))
-                    lhs += q**(2 * k) * _poch_int(q, j - 1, k) / _poch_int(q, 1, k) * inner
-                rhs = (_poch_int(q, 1 + j, n + i) / _poch_int(q, 1, n + i)
+                    lhs += q**(2 * k) * P[j - 1][k] / P[1][k] * inner
+                rhs = (P[1 + j][n + i] / P[1][n + i]
                        * (1.0 - q**(1 + n)) / (1.0 - q**(1 + n + i)))
                 worst = max(worst, _rel(lhs, rhs))
     res["nested"] = worst

@@ -77,6 +77,14 @@ class TestEvalCommand:
         assert code == 0
         assert len([r for r in rows if r["kind"] == "poly_p_coeff"]) == 3
 
+    def test_zero_argument_prints_no_cancellation_warning(self, capsys):
+        # J is exactly 0 at z = 0, so its condition is infinite but nothing
+        # cancelled
+        code, out, err = run_cli(["eval", "--z", "0", "--nu", "1"], capsys)
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[1] == "bessel_j,0.0,0.0,0,0.0,inf"
+
     def test_needs_some_target(self, capsys):
         code, _, err = run_cli(["eval"], capsys)
         assert code == 1
@@ -166,6 +174,13 @@ class TestVerify:
                                 "--seed", "777"], capsys)
         assert code == 0
         assert json.loads(out)["seed"] == 777
+
+    def test_roundtrip_settles_at_larger_q(self, capsys):
+        # the first zero offsets at q = 0.7 contract slowly under the
+        # fixed-point map and need its secant steps
+        code, out, _ = run_cli(["verify", "--q", "0.7", "--family", "roundtrip"], capsys)
+        assert code == 0
+        assert json.loads(out)["families"]["roundtrip"]["residual"] < 1e-9
 
     def test_fast_families_pass(self, capsys):
         for fam in ("pochhammer", "qintegral", "qderivative", "orthogonality",

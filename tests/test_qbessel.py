@@ -172,6 +172,42 @@ class TestBesselJColumn:
             bessel_j_column(CTX, 0, 0.0, 8)
 
 
+class TestMpLaneAgainstPowerSeries:
+    """highprec at 90 digits against mp_bessel_j, whose power series cancels
+    by up to ~270 digits near q^-20 at q = 0.45, so it runs at 600."""
+
+    REF_DPS = 600
+
+    @pytest.mark.parametrize("q", [0.45, 0.6])
+    @pytest.mark.parametrize("nu", [1.5, 2.5])
+    def test_zero_offset_to_1e_80(self, q, nu):
+        for k in (1, 5, 20):
+            with mp.workdps(90):
+                eps = highprec.solve_zero_offset(q, nu, k)
+            # J changes sign between q^(-k + eps (1 -+ 1e-80))
+            with mp.workdps(self.REF_DPS):
+                lo, hi = (mp.mpf(q) ** (-k + eps * (1 + s * mp.mpf(10) ** -80))
+                          for s in (-1, 1))
+            j_lo = mp_bessel_j(q, nu, lo, self.REF_DPS)
+            j_hi = mp_bessel_j(q, nu, hi, self.REF_DPS)
+            assert j_lo * j_hi < 0, k
+
+    @pytest.mark.parametrize("q", [0.45, 0.6])
+    @pytest.mark.parametrize("nu", [1.5, 2.5])
+    def test_column_entries_to_1e_80(self, q, nu):
+        for k in (1, 5, 20):
+            with mp.workdps(90):
+                eps = highprec.solve_zero_offset(q, nu, k)
+                col = highprec.ZeroColumn(q, nu, nu, k, eps)
+                got = {m: col.j_at(m) for m in sorted({1, 2, k, k + 1, 3 * k, 130})}
+            for m, value in got.items():
+                with mp.workdps(self.REF_DPS):
+                    z = mp.mpf(q) ** (m - k + eps)
+                want = mp_bessel_j(q, nu, z, self.REF_DPS)
+                with mp.workdps(self.REF_DPS):
+                    assert abs(value - want) <= mp.mpf(10) ** -80 * abs(want), (k, m)
+
+
 class TestBesselJPrime:
     def test_central_difference_oracle(self):
         h = 1e-5

@@ -11,6 +11,7 @@ from qfb.qpoly import (
     check_factorization,
     factorization_error_budget,
     check_finite_sum_identities,
+    poch_prefix_table,
     uniform_boundedness_scan,
 )
 
@@ -96,6 +97,16 @@ class TestFiniteSumIdentities:
     def test_other_bases(self, q):
         rep = check_finite_sum_identities(q, imax=8, jmax=8, nmax=8, mmax=10)
         assert max(rep.values()) < 1e-12
+
+    @pytest.mark.parametrize("q", [0.3, 0.52, 0.8])
+    def test_prefix_table_matches_direct_product_bitwise(self, q):
+        table = poch_prefix_table(q, range(-1, 26), 24)
+        for power, row in table.items():
+            for length, entry in enumerate(row):
+                direct = 1.0
+                for i in range(length):
+                    direct *= 1.0 - q**(power + i)
+                assert entry == direct, (power, length)
 
     def test_deterministic_in_seed(self):
         a = check_finite_sum_identities(0.5, seed=7)
