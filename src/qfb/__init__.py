@@ -48,7 +48,6 @@ from .qpoly import (
 from .series import (
     FourierCoefficient,
     ConvergenceReport,
-    ConditioningError,
     eta_norm,
     fourier_coefficient,
     partial_sum,
@@ -80,7 +79,7 @@ __all__ = [
     "check_derivative_asymptotics", "jacobi_identity_residual",
     "PolyP", "poly_p_by_recurrence", "poly_p_explicit",
     "poly_p_by_convolution", "check_factorization", "check_finite_sum_identities",
-    "FourierCoefficient", "ConvergenceReport", "ConditioningError", "eta_norm",
+    "FourierCoefficient", "ConvergenceReport", "eta_norm",
     "fourier_coefficient", "partial_sum", "partial_sum_at_node",
     "convergence_report", "check_coefficient_integral_identity",
     "gram_integral", "parseval_defect",

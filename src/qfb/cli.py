@@ -43,38 +43,64 @@ def cache_dir(override: str | None) -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "qfb")
 
 
-def cache_path(directory: str, q: float, nu: float) -> str:
-    return os.path.join(directory, f"zeros-q{q:.12f}-nu{nu:.12f}.txt")
+def cache_path(directory: str, q: float, nu: float,
+               term_tol: float = QContext.term_tol) -> str:
+    return os.path.join(directory, f"zeros-q{q:.12f}-nu{nu:.12f}-tol{term_tol!r}.txt")
 
 
-def load_zero_cache(path: str, q: float, nu: float) -> dict[int, dict]:
+def _cache_header(q: float, nu: float, term_tol: float) -> str:
+    return f"#{CACHE_VERSION} q={q:.12f} nu={nu:.12f} tol={term_tol!r}"
+
+
+def load_zero_cache(path: str, q: float, nu: float,
+                    term_tol: float = QContext.term_tol) -> dict[int, dict]:
+    """The rows of a zero-cache file, keyed by k, or {} (a miss) if the file
+    is absent, was written for another (q, nu, term_tol), or holds any row
+    that _cache_row rejects."""
+    ctx = QContext(q, nu, term_tol)
     out: dict[int, dict] = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            expect = f"#{CACHE_VERSION} q={q:.12f} nu={nu:.12f}"
-            if header != expect:
+            if fh.readline().rstrip("\n") != _cache_header(q, nu, term_tol):
                 return {}
             for line in fh:
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 5:
-                    continue
-                k = int(parts[0])
-                out[k] = {
-                    "k": k,
-                    "value": float(parts[1]),
-                    "eps": float(parts[2]),
-                    "alpha": float(parts[3]),
-                    "certified": parts[4] == "1",
-                }
-    except OSError:
+                row = _cache_row(ctx, line)
+                out[row["k"]] = row
+    except (OSError, ValueError, ArithmeticError):
         return {}
     return out
 
 
-def save_zero_cache(path: str, q: float, nu: float, rows: dict[int, dict]) -> None:
+def _cache_row(ctx: QContext, line: str) -> dict:
+    """One cache line, parsed and checked against what find_zero writes.
+
+    Raises ValueError unless value is q^(-k + eps) to the rounding of that
+    power, alpha is alpha_bound(ctx, k) (nan where it is undefined), and a
+    row marked certified has k in the regime and 0 < eps < alpha.  Zeros
+    found by scanning are never certified, whatever their eps.
+    """
+    k_text, value_text, eps_text, alpha_text, flag = line.rstrip("\n").split("\t")
+    k, value, eps = int(k_text), float(value_text), float(eps_text)
+    try:
+        alpha = zeros_mod.alpha_bound(ctx, k)
+    except OutOfRegimeError:
+        alpha = math.nan
+    power = ctx.q**(-k + eps)
+    if not abs(value - power) <= 2.0 * sys.float_info.epsilon * (
+            2.0 + k * abs(math.log(ctx.q))) * power:
+        raise ValueError(f"cached j_{k} = {value!r} is not q^(-k + eps)")
+    if alpha_text != f"{alpha:.17g}" or flag not in ("0", "1"):
+        raise ValueError(f"cached alpha or flag of j_{k} is not what find_zero gives")
+    certified = flag == "1"
+    if certified and not (k >= zeros_mod.regime_start(ctx) and 0.0 < eps < alpha):
+        raise ValueError(f"cached j_{k} is marked certified outside 0 < eps < alpha")
+    return {"k": k, "value": value, "eps": eps, "alpha": alpha, "certified": certified}
+
+
+def save_zero_cache(path: str, q: float, nu: float, rows: dict[int, dict],
+                    term_tol: float = QContext.term_tol) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    body = [f"#{CACHE_VERSION} q={q:.12f} nu={nu:.12f}"]
+    body = [_cache_header(q, nu, term_tol)]
     for k in sorted(rows):
         r = rows[k]
         body.append("\t".join([
@@ -193,8 +219,8 @@ def cmd_zeros(args) -> int:
         print(f"error: zero indices must be >= 1, got --k {args.k}", file=sys.stderr)
         return 1
     directory = cache_dir(args.cache)
-    path = cache_path(directory, ctx.q, ctx.nu)
-    rows = load_zero_cache(path, ctx.q, ctx.nu)
+    path = cache_path(directory, ctx.q, ctx.nu, ctx.term_tol)
+    rows = load_zero_cache(path, ctx.q, ctx.nu, ctx.term_tol)
     try:
         for k in ks:
             if k not in rows:
@@ -204,7 +230,7 @@ def cmd_zeros(args) -> int:
     except (ZeroLocalizationError, OutOfRegimeError, NonConvergentTail) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    save_zero_cache(path, ctx.q, ctx.nu, rows)
+    save_zero_cache(path, ctx.q, ctx.nu, rows, ctx.term_tol)
     emit_table([rows[k] for k in ks], args.format, sys.stdout)
     return 0
 
@@ -457,9 +483,8 @@ def _family_eta(cfg) -> dict:
     ctx = cfg["ctx"]
     worst = 0.0
     for k in range(1, cfg["kmax"] + 1):
-        closed = series.eta_norm(ctx, k)
-        diag = series.gram_integral(ctx, k, k)
-        worst = max(worst, abs(closed - diag) / closed)
+        eta = series.eta_norm(ctx, k)
+        worst = max(worst, abs(series.eta_closed(ctx, k) - eta) / eta)
     return {"residual": worst, "tolerance": 1e-9}
 
 
@@ -562,8 +587,14 @@ def cmd_verify(args) -> int:
     report = {"command": "verify", "q": ctx.q, "nu": ctx.nu, "seed": args.seed,
               "families": {}, "passed": True}
     for name in names:
-        res = FAMILIES[name](cfg)
-        res["passed"] = bool(res["residual"] <= res["tolerance"])
+        try:
+            res = FAMILIES[name](cfg)
+        except (ArithmeticError, ValueError, RuntimeError) as exc:
+            # a family that cannot finish fails; its reason goes in the report
+            res = {"residual": None, "tolerance": None, "passed": False,
+                   "detail": f"{type(exc).__name__}: {exc}"}
+        else:
+            res["passed"] = bool(res["residual"] <= res["tolerance"])
         report["families"][name] = res
         if not res["passed"]:
             report["passed"] = False

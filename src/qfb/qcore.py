@@ -38,8 +38,8 @@ class QContext:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
-        if not self.nu > -1.0:
-            raise ValueError(f"nu must exceed -1, got {self.nu}")
+        if not (self.nu > -1.0 and math.isfinite(self.nu)):
+            raise ValueError(f"nu must be finite and exceed -1, got {self.nu}")
         if not 0.0 < self.term_tol < 1.0:
             raise ValueError(f"term_tol must lie in (0, 1), got {self.term_tol}")
         if self.max_terms < 1:
@@ -159,6 +159,37 @@ def _kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
     return t, comp
 
 
+class _JacksonSum:
+    """Kahan sum of Jackson terms with the two-part stopping rule.
+
+    add() reports the sum settled once three zero terms in a row follow a
+    nonzero scale, or once the current term and the geometric estimate of
+    the tail beyond it both sit within tol of the running scale (largest
+    partial sum or term).  last is the latest nonzero term.
+    """
+
+    __slots__ = ("tol", "total", "comp", "scale", "last", "zero_run")
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.total = self.comp = self.scale = self.last = 0.0
+        self.zero_run = 0
+
+    def add(self, term: float) -> bool:
+        self.total, self.comp = _kahan_add(self.total, self.comp, term)
+        self.scale = max(self.scale, abs(self.total), abs(term))
+        if term == 0.0:
+            self.zero_run += 1
+            return self.zero_run >= 3 and self.scale > 0.0
+        self.zero_run = 0
+        prev, self.last = self.last, term
+        if prev == 0.0:
+            return False
+        r = abs(term / prev)
+        bound = self.tol * self.scale
+        return r < 1.0 and abs(term) <= bound and abs(term) * r / (1.0 - r) <= bound
+
+
 def _upper_exponent(q: float, upper: float) -> int:
     """Map an integration limit to its grid exponent m with upper = q^m."""
     if upper <= 0.0:
@@ -172,55 +203,28 @@ def _upper_exponent(q: float, upper: float) -> int:
 def q_integral(f: GridFunction, upper: float = 1.0) -> float:
     """Jackson q-integral of f over (0, upper) with upper = q^m, m >= -1.
 
-    Sums (1-q) * sum_k f(upper q^k) upper q^k, truncated by the two-part
-    stopping rule relative to the running scale (largest partial sum or
-    term).  Raises NonConvergentTail if the grid is exhausted first and no
-    tail_exponent model is attached to f.
+    Sums (1-q) * sum_k f(upper q^k) upper q^k until the stopping rule of
+    _JacksonSum holds.  If the grid runs out first, the tail_exponent model
+    of f extends the sum; without one NonConvergentTail is raised (an
+    identically zero integrand gives 0).
     """
-    ctx = f.ctx
-    q, tol = ctx.q, ctx.term_tol
-    m = _upper_exponent(q, upper)
-
-    total = comp = 0.0
-    scale = 0.0
-    prev = 0.0
-    last = 0.0
-    zero_run = 0
-    converged = False
-    for n in range(m, f.depth + 1):
-        term = f[n] * q**n
-        total, comp = _kahan_add(total, comp, term)
-        scale = max(scale, abs(total), abs(term))
-        if term == 0.0:
-            zero_run += 1
-            if zero_run >= 3 and scale > 0.0:
-                converged = True
-                break
-            continue
-        zero_run = 0
-        prev, last = last, term
-        if prev != 0.0 and scale > 0.0:
-            r = abs(last / prev)
-            if r < 1.0 and abs(last) <= tol * scale:
-                if abs(last) * r / (1.0 - r) <= tol * scale:
-                    converged = True
-                    break
+    q = f.ctx.q
+    acc = _JacksonSum(f.ctx.term_tol)
+    for n in range(_upper_exponent(q, upper), f.depth + 1):
+        if acc.add(f[n] * q**n):
+            break
     else:
-        if scale == 0.0:
-            converged = True  # identically zero integrand
-
-    if not converged:
-        if f.tail_exponent is not None:
+        if acc.scale > 0.0:
+            if f.tail_exponent is None:
+                raise NonConvergentTail(
+                    f"q-integral tail not stagnated by depth {f.depth}; "
+                    "deepen the grid or supply tail_exponent")
             rho = q**(1.0 + f.tail_exponent)
             if rho >= 1.0:
                 raise NonConvergentTail(
                     f"tail model exponent {f.tail_exponent} gives a divergent tail")
-            total += last * rho / (1.0 - rho)
-        else:
-            raise NonConvergentTail(
-                f"q-integral tail not stagnated by depth {f.depth}; "
-                "deepen the grid or supply tail_exponent")
-    return (1.0 - q) * total
+            acc.total += acc.last * rho / (1.0 - rho)
+    return (1.0 - q) * acc.total
 
 
 def jackson_sum(ctx: QContext, h: Callable[[float], float], upper: float,
@@ -228,38 +232,25 @@ def jackson_sum(ctx: QContext, h: Callable[[float], float], upper: float,
     """Jackson q-integral of a callable over (0, upper); upper may be 0.
 
     Same stopping rule as q_integral but the integrand is evaluated on the
-    fly, so the node set is not limited to a pre-sampled grid.
+    fly, so the node set is not limited to a pre-sampled grid.  The sum also
+    ends where the nodes underflow to 0.
     """
     if upper == 0.0:
         return 0.0
-    q, tol = ctx.q, ctx.term_tol
-    total = comp = 0.0
-    scale = 0.0
-    prev = last = 0.0
-    zero_run = 0
+    q = ctx.q
+    acc = _JacksonSum(ctx.term_tol)
     node = upper
     for _ in range(max_nodes):
-        term = h(node) * node
-        total, comp = _kahan_add(total, comp, term)
-        scale = max(scale, abs(total), abs(term))
+        if acc.add(h(node) * node):
+            break
         node *= q
         if node == 0.0:
-            return (1.0 - q) * total  # remaining nodes underflow to 0
-        if term == 0.0:
-            zero_run += 1
-            if zero_run >= 8 or (zero_run >= 3 and scale > 0.0):
-                return (1.0 - q) * total
-            continue
-        zero_run = 0
-        prev, last = last, term
-        if prev != 0.0 and scale > 0.0:
-            r = abs(last / prev)
-            if r < 1.0 and abs(last) <= tol * scale:
-                if abs(last) * r / (1.0 - r) <= tol * scale:
-                    return (1.0 - q) * total
-    if scale == 0.0:
-        return 0.0
-    raise NonConvergentTail(f"callable q-integral not stagnated after {max_nodes} nodes")
+            break
+    else:
+        if acc.scale > 0.0:
+            raise NonConvergentTail(
+                f"callable q-integral not stagnated after {max_nodes} nodes")
+    return (1.0 - q) * acc.total
 
 
 def symmetric_q_derivative(ctx: QContext, f: Callable[[float], float], x: float,

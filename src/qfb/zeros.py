@@ -185,34 +185,46 @@ def _scan_brackets(ctx: QContext, x_hi: float, expected: int) -> list[tuple[floa
 
 
 def _refine_scan_bracket(ctx: QContext, k: int, a: float, b: float) -> BesselZero:
-    """Bisect a scan bracket in log space; the result is never certified."""
+    """Bisect a scan bracket in log space; the result is never certified.
+
+    The reported bracket keeps, at each end, the last point whose J exceeded
+    its tail_bound: nearer the zero the sign of J is rounding noise.
+    """
     q = ctx.q
     ta, tb = math.log(a), math.log(b)
     w_ta, w_tb = ta, tb
     fa = bessel_j(ctx, a).value
     for _ in range(_SCAN_BISECT_STEPS):
         tm = 0.5 * (ta + tb)
-        fm = bessel_j(ctx, math.exp(tm)).value
+        ev = bessel_j(ctx, math.exp(tm))
+        fm = ev.value
         if fm == 0.0:
             ta = tb = tm
             break
+        trusted = abs(fm) > ev.tail_bound
         if (fm > 0.0) == (fa > 0.0):
             ta, fa = tm, fm
+            if trusted:
+                w_ta = tm
         else:
             tb = tm
-        if tb - ta >= 1e-13:
-            w_ta, w_tb = ta, tb
+            if trusted:
+                w_tb = tm
     value = math.exp(0.5 * (ta + tb))
     eps = k + math.log(value) / math.log(q)
     try:
         alpha = alpha_bound(ctx, k)
     except OutOfRegimeError:
         alpha = math.nan
+    # an end still at the scan point comes back as exp(log(a)), off by half
+    # an ulp of |log a| and another half ulp of exp; twice that rounding
+    # moves both ends outward
+    out = _UNIT * 2.0 * (2.0 + max(abs(w_ta), abs(w_tb)))
     return BesselZero(
         k=k,
         value=value,
-        bracket_lo=math.exp(w_ta),
-        bracket_hi=math.exp(w_tb),
+        bracket_lo=math.exp(w_ta) * (1.0 - out),
+        bracket_hi=math.exp(w_tb) * (1.0 + out),
         eps_k=eps,
         alpha_k=alpha,
         certified=False,

@@ -17,6 +17,25 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
+def edit_cache_row(path, k, edit):
+    """Replace the fields of row k of a zero-cache file by edit(fields)."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    for i, line in enumerate(lines):
+        parts = line.split("\t")
+        if parts[0] == str(k):
+            lines[i] = "\t".join(edit(parts))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def certified_past_alpha(parts):
+    """A q = 0.5 row moved to eps = 2 alpha, value consistent, marked certified."""
+    k, alpha = int(parts[0]), float(parts[3])
+    eps = 2.0 * alpha
+    return [parts[0], f"{0.5 ** (-k + eps):.17g}", f"{eps:.17g}", parts[3], "1"]
+
+
 class TestZerosCommand:
     def test_table_contents(self, capsys, tmp_path):
         code, out, _ = run_cli(["zeros", "--q", "0.5", "--nu", "1", "--k", "1..10",
@@ -55,6 +74,43 @@ class TestZerosCommand:
         back = cli.load_zero_cache(path, 0.5, 1.0)
         assert back[3]["value"] == rows[3]["value"]
         assert back[3]["eps"] == rows[3]["eps"]
+
+    def test_cache_keyed_on_tolerance(self, capsys, tmp_path):
+        argv = ["zeros", "--q", "0.5", "--nu", "1", "--k", "1..2",
+                "--format", "json", "--cache", str(tmp_path)]
+        run_cli(argv + ["--tol", "1e-6"], capsys)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)[0]["value"] == 1.916728395850936
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: ["two"] + p[1:],               # a row that does not parse
+        lambda p: p[:2],                         # a row with fields missing
+        lambda p: [p[0], "99.0"] + p[2:],        # value is not q^(-k + eps)
+        lambda p: p[:3] + ["0.5", p[4]],         # alpha is not alpha_bound(k)
+        certified_past_alpha,                    # certified with eps > alpha
+    ], ids=["unparsable", "short", "value", "alpha", "certified"])
+    def test_invalid_cache_row_is_a_miss(self, edit, capsys, tmp_path):
+        argv = ["zeros", "--q", "0.5", "--nu", "1", "--k", "1..4",
+                "--format", "csv", "--cache", str(tmp_path)]
+        _, cold, _ = run_cli(argv, capsys)
+        path = cli.cache_path(str(tmp_path), 0.5, 1.0)
+        edit_cache_row(path, 2, edit)
+        assert cli.load_zero_cache(path, 0.5, 1.0) == {}
+        code, warm, err = run_cli(argv, capsys)
+        assert (code, warm, err) == (0, cold, "")
+        assert len(cli.load_zero_cache(path, 0.5, 1.0)) == 4  # rewritten
+
+    def test_scanned_zero_marked_certified_is_a_miss(self, capsys, tmp_path):
+        # j_3 at q = 0.9 lies below the regime, so it is found by scanning and
+        # never certified, although its eps lies in (0, alpha)
+        argv = ["zeros", "--q", "0.9", "--nu", "1", "--k", "3",
+                "--format", "csv", "--cache", str(tmp_path)]
+        run_cli(argv, capsys)
+        path = cli.cache_path(str(tmp_path), 0.9, 1.0)
+        assert cli.load_zero_cache(path, 0.9, 1.0)
+        edit_cache_row(path, 3, lambda p: p[:4] + ["1"])
+        assert cli.load_zero_cache(path, 0.9, 1.0) == {}
 
     def test_env_var_cache_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
@@ -99,6 +155,7 @@ class TestEvalCommand:
         ["eval", "--poly-n", "-1"],
         ["zeros", "--k", "0"],
         ["zeros", "--k", "two"],
+        ["zeros", "--nu", "inf", "--k", "1"],
     ])
     def test_invalid_parameters_exit_one(self, argv, capsys, tmp_path):
         code, out, err = run_cli(argv + ["--cache", str(tmp_path)], capsys)
@@ -129,6 +186,12 @@ class TestCoeffsAndExpand:
         payload = json.loads(out)
         assert len(payload["coefficients"]) == 5
         assert payload["points"][0]["abs_error"] < 1e-3
+
+    def test_coefficients_where_the_closed_form_eta_cancels(self, capsys):
+        code, out, _ = run_cli(["coeffs", "--q", "0.9", "--nu", "1", "--f", "power-nu",
+                                "--kmax", "8", "--format", "json"], capsys)
+        assert code == 0
+        assert len(json.loads(out)) == 8
 
     def test_bad_values_file_exits_three(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
@@ -181,6 +244,25 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--q", "0.7", "--family", "roundtrip"], capsys)
         assert code == 0
         assert json.loads(out)["families"]["roundtrip"]["residual"] < 1e-9
+
+    def test_family_that_raises_fails_without_traceback(self, capsys):
+        # the mp zero-offset solve has no start where the first zero lies far
+        # from q^-1
+        code, out, err = run_cli(["verify", "--q", "0.85", "--family", "roundtrip"], capsys)
+        assert code == 4
+        assert err == ""
+        fam = json.loads(out)["families"]["roundtrip"]
+        assert not fam["passed"]
+        assert fam["detail"].startswith("ArithmeticError: zero-offset fixed point")
+
+    def test_eta_family_reports_closed_form_gap(self, capsys):
+        # the J'(j_k) series behind eta_closed cancels at q = 0.9
+        code, out, _ = run_cli(["verify", "--q", "0.9", "--nu", "1", "--family", "eta"],
+                               capsys)
+        assert code == 4
+        fam = json.loads(out)["families"]["eta"]
+        assert not fam["passed"]
+        assert 1e-9 < fam["residual"] < 1e-6
 
     def test_fast_families_pass(self, capsys):
         for fam in ("pochhammer", "qintegral", "qderivative", "orthogonality",

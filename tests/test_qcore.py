@@ -210,3 +210,12 @@ def test_jackson_sum_matches_grid_integral():
     f = GridFunction.from_callable(CTX, lambda t: t * t)
     assert jackson_sum(CTX, lambda t: t * t, 1.0) == pytest.approx(
         q_integral(f), rel=1e-13)
+
+
+def test_jackson_sum_sums_past_leading_zero_terms():
+    # the integrand vanishes on the first ten nodes; the sum is (1-q) sum_(n>=10) q^n
+    q = CTX.q
+    h = lambda t: 1.0 if t <= q**10 else 0.0
+    f = GridFunction.from_callable(CTX, h)
+    assert q_integral(f) == pytest.approx(q**10, rel=1e-14)
+    assert jackson_sum(CTX, h, 1.0) == pytest.approx(q**10, rel=1e-14)

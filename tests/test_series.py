@@ -2,12 +2,12 @@ import math
 from collections import OrderedDict
 
 import pytest
+from mpmath import mp
 
 from qfb.qcore import QContext, GridFunction
 from qfb.qbessel import bessel_j_prime, bessel_j_qpow
-from qfb import series, zeros
+from qfb import highprec, series, zeros
 from qfb.series import (
-    ConditioningError,
     FourierCoefficient,
     eta_closed,
     eta_norm,
@@ -41,10 +41,30 @@ class TestEtaNorm:
 
     def test_routes_agree(self):
         for k in (1, 2, 5, 10):
-            closed = eta_norm(CTX1, k)
-            assert closed == eta_closed(CTX1, k)
+            closed = eta_closed(CTX1, k)
+            assert eta_norm(CTX1, k) == eta_norm_integral(CTX1, k)
             integral = eta_norm_integral(CTX1, k)
             assert closed == pytest.approx(integral, rel=1e-9)
+
+    @pytest.mark.parametrize("q", [0.5, 0.8])
+    def test_against_mp_closed_form(self, q):
+        # the closed form at 40 digits is free of the float J'(j_k)
+        # cancellation, which costs eta_closed up to 7e-12 at q = 0.8
+        ctx = QContext(q, 1.0)
+        with mp.workdps(40):
+            t = highprec.MpTables(q)
+            for zk in highprec._zeros_mp(t, mp.mpf(1), 20):
+                col = highprec.ZeroColumn(q, 1, 1, zk.k, zk.eps, t)
+                ref = highprec._eta_mp(t.q, 1, col, zk)
+                assert abs(eta_norm(ctx, zk.k) - ref) <= 1e-14 * ref
+
+    def test_needs_no_derivative(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eta_norm must not evaluate J'")
+        monkeypatch.setattr(series, "bessel_j_prime", refuse)
+        ctx = QContext(0.55, 1.3)  # a context no other test has cached
+        c = fourier_coefficient(ctx, power_grid(ctx), 3)
+        assert c.eta == eta_norm_integral(ctx, 3)
 
     def test_middle_form_via_shift_identity(self):
         # -(1-q) q^(nu-1)/2 J_(nu+1)(q j; q^2) J_nu'(j; q^2) gives the same eta

@@ -17,6 +17,8 @@ from qfb.zeros import (
     jacobi_identity_residual,
 )
 
+from test_qbessel import mp_bessel_j
+
 
 CTX = QContext(0.5, 1.0)
 
@@ -113,6 +115,19 @@ class TestBelowRegimeScan:
             assert count_zeros_below(CTX, CTX.q**-K) == K
         ctx = QContext(0.9, 1.0)
         assert count_zeros_below(ctx, ctx.q**-10) == 10
+
+
+def test_scan_brackets_hold_a_sign_change():
+    # bisection once trusted the sign of J where |J| = 4.8e-13 lay below its
+    # tail_bound of 1.5e-12, and the bracket of j_2 missed the zero
+    q, nu = 0.838803, 1.356597
+    ctx = QContext(q, nu)
+    for k in (1, 2, 3):
+        zk = find_zero(ctx, k)
+        assert not zk.certified  # below the regime: found by scanning
+        lo = mp_bessel_j(q, nu, zk.bracket_lo, 60)
+        hi = mp_bessel_j(q, nu, zk.bracket_hi, 60)
+        assert (lo > 0) != (hi > 0), k
 
 
 class TestEpsilonDecay:
