@@ -380,12 +380,14 @@ def _family_pochhammer(cfg) -> dict:
 
 def _family_qintegral(cfg) -> dict:
     ctx = cfg["ctx"]
-    one = GridFunction.from_callable(ctx, lambda t: 1.0)
-    lin = GridFunction.from_callable(ctx, lambda t: t)
-    sq = GridFunction.from_callable(ctx, lambda t: t * t)
+    # the tail models carry the sums past the grid at q >~ 0.88
+    one = GridFunction.from_callable(ctx, lambda t: 1.0, tail_exponent=0)
+    lin = GridFunction.from_callable(ctx, lambda t: t, tail_exponent=1)
+    sq = GridFunction.from_callable(ctx, lambda t: t * t, tail_exponent=2)
     worst = abs(q_integral(one) - 1.0)
     worst = max(worst, abs(q_integral(lin) - 1.0 / (1.0 + ctx.q)))
-    combo = GridFunction(ctx, tuple(2.0 * a + 3.0 * b for a, b in zip(lin.values, sq.values)))
+    combo = GridFunction(ctx, tuple(2.0 * a + 3.0 * b for a, b in zip(lin.values, sq.values)),
+                         tail_exponent=1)
     worst = max(worst, abs(q_integral(combo) - 2.0 * q_integral(lin) - 3.0 * q_integral(sq)))
     return {"residual": worst, "tolerance": 1e-13}
 

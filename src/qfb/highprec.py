@@ -25,6 +25,8 @@ from itertools import islice
 
 import mpmath as mp
 
+from .qcore import solve_offset
+
 
 def _poch_inf(a, p):
     out = mp.mpf(1)
@@ -103,12 +105,10 @@ def solve_zero_offset(q, nu, k: int, tables: MpTables | None = None):
     Splits the product-form series at the factor (1 - p^eps); the zero
     condition becomes p^eps = 1 + B/A with A the head group (the factor
     removed) and B the tail group, and the induced fixed-point map
-    g(eps) = log_p(1 + B/A) contracts because A and B barely depend on eps.
-    Where it contracts slowly (the first zeros at q >~ 0.65) plain iteration
-    would not settle, so from the second step on it takes the secant step on
-    eps - g(eps) instead, whenever the secant slope says g' < 1 and the step
-    stays in (0, inf).  ``tables`` must belong to this q at the working
-    precision; it is built here when omitted.
+    g(eps) = log_p(1 + B/A) contracts because A and B barely depend on eps;
+    qcore.solve_offset, the driver the float lane shares, runs it.
+    ``tables`` must belong to this q at the working precision; it is built
+    here when omitted.
     """
     t = tables or MpTables(q)
     S = k + t.tail
@@ -139,21 +139,7 @@ def solve_zero_offset(q, nu, k: int, tables: MpTables | None = None):
             raise ArithmeticError(f"zero-offset fixed point left (0, inf) at k={k}")
         return mp.log1p(ratio) / t.ln_p  # log1p keeps eps << 10^-dps alive
 
-    tol = mp.mpf(10) ** (-(mp.mp.dps - 2))
-    eps, prev = mp.mpf(0), None
-    for _ in range(40):
-        nxt = g(eps)
-        if abs(nxt - eps) <= tol * nxt:
-            return nxt
-        h = eps - nxt
-        step = nxt
-        if prev is not None:
-            slope = (h - prev[1]) / (eps - prev[0])  # estimates 1 - g'(eps)
-            if slope > 0 and eps - h / slope > 0:
-                step = eps - h / slope
-        prev = (eps, h)
-        eps = step
-    raise ArithmeticError(f"zero-offset fixed point did not settle at k={k}")
+    return solve_offset(g, mp.mpf(10) ** (-(mp.mp.dps - 2)))
 
 
 class ZeroColumn:

@@ -171,6 +171,52 @@ def _series_eval(ctx: QContext, order: float, z: float, z_err: float = 0.0) -> B
     return BesselEval(value, used, apref * omitted + rounding + pref_err + arg_err, apref * peak)
 
 
+def _signed_sum(ctx: QContext, coeffs, suffix, start: int, min_i: int):
+    """Kahan sum of the product-form terms (-1)^i coeffs[i] suffix[i - start]
+    for i = start, start+1, ..., the last entry of suffix being the empty
+    product.
+
+    From i = min_i on the sum stops once the current term and the geometric
+    estimate of the rest both sit within ctx.term_tol of the running scale.
+    Returns (total, abs_sum, peak, used, omitted), omitted bounding the
+    terms left out.
+    """
+    p, tol = ctx.p, ctx.term_tol
+    total = comp = 0.0
+    abs_sum = 0.0
+    peak = 0.0
+    used = 0
+    omitted = 0.0
+    prev_term = 0.0
+    for i in range(start, min(start + len(suffix) - 1, ctx.max_terms)):
+        j = i - start
+        coeff = coeffs[i]  # p^(i(i+1)/2 + order*i) / (p;p)_i
+        term = (coeff if i % 2 == 0 else -coeff) * suffix[j]
+        total, comp = _kahan_add(total, comp, term)
+        abs_sum += abs(term)
+        peak = max(peak, abs(term))
+        used = j + 1
+        if i + 1 == len(coeffs):
+            raise NonConvergentTail("product-form coefficients overflow")
+        coeff = coeffs[i + 1]
+        if coeff == 0.0:
+            # every remaining term underflows; bound them by one denormal
+            omitted = 5e-324 * abs(suffix[j])
+            break
+        scale = max(abs(total), peak)
+        if i >= min_i and scale > 0.0 and abs(term) <= tol * scale:
+            ratio = abs(term / prev_term) if prev_term != 0.0 else 0.0
+            r_eff = min(ratio, p) if ratio < 1.0 else p
+            nxt = coeff * abs(suffix[j + 1])
+            if nxt / (1.0 - r_eff) <= tol * scale:
+                omitted = nxt / (1.0 - r_eff)
+                break
+        prev_term = term
+    else:
+        raise NonConvergentTail("product-form series did not settle")
+    return total, abs_sum, peak, used, omitted
+
+
 def _product_eval(ctx: QContext, order: float, w_int: int, w_frac: float,
                   frac_err: float) -> BesselEval:
     """Product-form evaluation at x with x^2 = p^(w_int + w_frac).
@@ -179,7 +225,7 @@ def _product_eval(ctx: QContext, order: float, w_int: int, w_frac: float,
     bound through every product factor, most through the most nearly
     vanishing one.
     """
-    p, tol = ctx.p, ctx.term_tol
+    p = ctx.p
     ln_p = 2.0 * math.log(ctx.q)
     const = _order_constants(p, order)
     coeffs = const.coeffs
@@ -206,38 +252,8 @@ def _product_eval(ctx: QContext, order: float, w_int: int, w_frac: float,
         if not math.isfinite(suffix[s - 1]):
             raise OverflowError("product form overflows; argument too large")
 
-    total = comp = 0.0
-    abs_sum = 0.0
-    peak = 0.0
-    used = 0
-    omitted = 0.0
-    prev_term = 0.0
-    min_i = max(4, -w_int + 2)  # leading G may vanish exactly at integer exponents
-    for i in range(min(len(suffix) - 1, ctx.max_terms)):
-        coeff = coeffs[i]  # p^(i(i+1)/2 + order*i) / (p;p)_i
-        term = (coeff if i % 2 == 0 else -coeff) * suffix[i]
-        total, comp = _kahan_add(total, comp, term)
-        abs_sum += abs(term)
-        peak = max(peak, abs(term))
-        used = i + 1
-        if i + 1 == len(coeffs):
-            raise NonConvergentTail("product-form coefficients overflow")
-        coeff = coeffs[i + 1]
-        if coeff == 0.0:
-            # every remaining term underflows; bound them by one denormal
-            omitted = 5e-324 * abs(suffix[i])
-            break
-        scale = max(abs(total), peak)
-        if i >= min_i and scale > 0.0 and abs(term) <= tol * scale:
-            ratio = abs(term / prev_term) if prev_term != 0.0 else 0.0
-            r_eff = min(ratio, p) if ratio < 1.0 else p
-            nxt = coeff * abs(suffix[i + 1]) if i + 1 < len(suffix) else 0.0
-            if nxt / (1.0 - r_eff) <= tol * scale:
-                omitted = nxt / (1.0 - r_eff)
-                break
-        prev_term = term
-    else:
-        raise NonConvergentTail("product-form series did not settle")
+    # leading G may vanish exactly at integer exponents
+    total, abs_sum, peak, used, omitted = _signed_sum(ctx, coeffs, suffix, 0, max(4, -w_int + 2))
 
     # x^order = p^(order * w0 / 2)
     log_xpow = order * (w_int + w_frac) * 0.5 * ln_p
@@ -254,6 +270,47 @@ def _product_eval(ctx: QContext, order: float, w_int: int, w_frac: float,
                 + const.pp_err)
     err = pref * omitted + rel_noise * pref * (abs_sum + abs(total)) + pref_err * abs(value)
     return BesselEval(value, used, err, pref * peak)
+
+
+def zero_offset_map(ctx: QContext, k: int, eps: float) -> float:
+    """The fixed-point map g(eps) = log_p(1 + B/A) of the k-th zero's offset.
+
+    At x^2 = p^(-k + eps) the product-form sum of _product_eval splits at
+    its factor f_k = 1 - p^eps, which vanishes at the zero: the terms i < k
+    carry it (head group f_k A), the terms i >= k do not (tail group B).
+    J = 0 where p^eps = 1 + B/A, and A and B barely depend on eps, so the
+    map contracts and eps_k keeps full relative precision however small it
+    is.  A is the Kahan sum of the head terms, B the tail terms summed and
+    stopped as _product_eval sums and stops them.  A ratio that underflows
+    to 0 gives eps = 0; ArithmeticError where B/A leaves (-1, 0].
+    """
+    ln_p = 2.0 * math.log(ctx.q)
+    coeffs = _order_constants(ctx.p, ctx.nu).coeffs
+    if k >= len(coeffs) - 1:
+        if coeffs[-1] != 0.0:
+            raise NonConvergentTail("product-form coefficients overflow")
+        return 0.0  # every tail coefficient underflows: B = 0
+    # the factor table of _product_eval at w_int = -k, w_frac = eps
+    cut = 22.0 * math.log(10.0) / -ln_p
+    n_factors = max(4, int(math.ceil(cut + k)) + 2)
+    factors = [-math.expm1(((s - k) + eps) * ln_p) for s in range(1, n_factors + 1)]
+
+    # tail suffixes T[i] = prod_(s > i) f_s for i >= k, f_k never among them
+    tail = [1.0] * (n_factors + 1 - k)
+    for s in range(n_factors, k, -1):
+        tail[s - 1 - k] = factors[s - 1] * tail[s - k]
+    b_sum = _signed_sum(ctx, coeffs, tail, k, max(4, k + 2))[0]
+    a_sum = comp = 0.0
+    head = tail[0]  # T[k] prod_(i < s < k) f_s
+    for i in range(k - 1, -1, -1):
+        a_sum, comp = _kahan_add(a_sum, comp, (coeffs[i] if i % 2 == 0 else -coeffs[i]) * head)
+        head *= factors[i - 1] if i > 0 else 1.0
+    if not math.isfinite(a_sum):
+        raise OverflowError("head group overflows; argument too large")
+    ratio = b_sum / a_sum  # p^eps - 1
+    if not -1.0 < ratio <= 0.0:
+        raise ArithmeticError(f"zero-offset map left [0, inf) at k={k}")
+    return math.log1p(ratio) / ln_p
 
 
 def bessel_j(ctx: QContext, z: float) -> BesselEval:

@@ -190,6 +190,33 @@ class _JacksonSum:
         return r < 1.0 and abs(term) <= bound and abs(term) * r / (1.0 - r) <= bound
 
 
+def solve_offset(g: Callable, tol):
+    """Fixed point eps = g(eps) of a zero-offset map, from eps = 0.
+
+    Both lanes solve the offsets eps_k of the zeros with it, the float lane
+    on floats and the mp lane on mpf.  The map is expected to contract;
+    where it contracts slowly (the first zeros at q >~ 0.65) plain iteration
+    would not settle, so from the second step on the secant step on
+    eps - g(eps) is taken instead, whenever the secant slope says g' < 1 and
+    the step stays in (0, inf).  Settled means |g(eps) - eps| <= tol g(eps);
+    ArithmeticError if that takes more than 40 maps.
+    """
+    eps, prev = 0, None
+    for _ in range(40):
+        nxt = g(eps)
+        if abs(nxt - eps) <= tol * nxt:
+            return nxt
+        h = eps - nxt
+        step = nxt
+        if prev is not None:
+            slope = (h - prev[1]) / (eps - prev[0])  # estimates 1 - g'(eps)
+            if slope > 0 and eps - h / slope > 0:
+                step = eps - h / slope
+        prev = (eps, h)
+        eps = step
+    raise ArithmeticError("zero-offset fixed point did not settle in 40 steps")
+
+
 def _upper_exponent(q: float, upper: float) -> int:
     """Map an integration limit to its grid exponent m with upper = q^m."""
     if upper <= 0.0:
@@ -279,7 +306,7 @@ def _stagnating_limit(ctx: QContext, h: Callable[[float], float], u: float) -> f
     q = ctx.q
     scale = abs(h(u * math.sqrt(q))) + 1e-300
     prev = None
-    for n in (32, 64, 128, 256):
+    for n in (32, 64, 128, 256, 512, 1024, 2048):
         cur = h(u * q**(0.5 + n))
         scale = max(scale, abs(cur))
         if prev is not None and abs(cur - prev) <= 1e-13 * scale:

@@ -2,10 +2,12 @@
 
 In the regime q^(2(k+nu)) <= (1 - q^2)(1 - q^(2k)) the k-th zero satisfies
 j_k = q^(-k + eps_k) with 0 < eps_k < alpha_k, so [q^(-k+alpha_k), q^(-k)]
-is a bracket containing exactly j_k.  Root refinement runs directly in the
-exponent offset eps (bisection, sign-certified), which preserves the full
-relative accuracy of eps_k even when it is as small as q^(2k); the zero
-value q^(-k+eps_k) and every downstream quantity built on it inherit that
+is a bracket containing exactly j_k.  After the sign change across it is
+checked, eps_k is solved directly in the exponent offset by the head/tail
+fixed point of the product form (qbessel.zero_offset_map), which keeps its
+full relative accuracy even when it is as small as q^(2k), and a bracket
+about 1e-13 relative wide around it is sign-checked again.  The zero value
+q^(-k+eps_k) and every downstream quantity built on it inherit that
 accuracy through bessel_j_qpow.
 
 Below the regime threshold the zeros are located by an anchored geometric
@@ -20,10 +22,10 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .qcore import QContext, q_pochhammer
-from .qbessel import bessel_j, bessel_j_prime, bessel_j_qpow
+from .qcore import QContext, q_pochhammer, solve_offset
+from .qbessel import bessel_j, bessel_j_prime, bessel_j_qpow, zero_offset_map
 
-_BISECT_STEPS = 400
+_OFFSET_TOL = 4e-16  # relative settling tolerance of the zero-offset fixed point
 _SCAN_BISECT_STEPS = 80
 _UNIT = 2.0 ** -53  # binary64 unit roundoff
 
@@ -91,8 +93,7 @@ def _find_certified(ctx: QContext, k: int) -> BesselZero:
     # before giving up, marking any widened find as uncertified.  The cap
     # keeps the bracket clear of the neighbouring zero at offset 1.
     certified = True
-    lo = 0.0
-    f_lo = _phi(ctx, k, lo)
+    f_lo = _phi(ctx, k, 0.0)
     hi = f_hi = None
     for widen in (1.0, 2.0, 8.0, 64.0):
         cand = min(widen * alpha, alpha + 0.45)
@@ -105,41 +106,33 @@ def _find_certified(ctx: QContext, k: int) -> BesselZero:
         raise ZeroLocalizationError(
             f"no sign change across the certified bracket at k={k} "
             f"(q={ctx.q}, nu={ctx.nu})")
-    # eps_k can sit many orders of magnitude below alpha_k, so the descent
-    # toward the crossing runs in decade-sized steps while lo is still 0 and
-    # in geometric steps afterwards; both keep the sign certificate and pin
-    # eps_k to full relative precision.  The reported x-bracket stops
-    # narrowing once its relative width reaches ~1e-13, below which the
-    # endpoint evaluations could no longer resolve the sign change.
-    ln_inv_q = -math.log(ctx.q)
-    w_lo, w_hi = lo, hi
-    for _ in range(_BISECT_STEPS):
-        if lo == 0.0:
-            mid = hi / 256.0
-        elif hi > 4.0 * lo:
-            mid = math.sqrt(lo * hi)
-        else:
-            mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f_mid = _phi(ctx, k, mid)
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        if (hi - lo) * ln_inv_q >= 1e-13:
-            w_lo, w_hi = lo, hi
-        if lo > 0.0 and hi - lo <= 5e-16 * lo:
-            break
-    eps = 0.5 * (lo + hi)
+    # eps_k solves the head/tail fixed point of the product form, which
+    # keeps its full relative precision however small it is
+    try:
+        eps = solve_offset(lambda e: zero_offset_map(ctx, k, e), _OFFSET_TOL)
+    except ArithmeticError as exc:
+        raise ZeroLocalizationError(
+            f"zero offset not solved at k={k} (q={ctx.q}, nu={ctx.nu}): {exc}") from exc
+    if not eps < hi:
+        raise ZeroLocalizationError(
+            f"zero offset {eps} left its bracket (0, {hi}) at k={k} (q={ctx.q}, nu={ctx.nu})")
     # below ~1e-300 the offset loses denormal precision while its effect on
     # J at grid multiples q^m j_k (m >= 1, orders up to nu+1) is already
     # O(q^(2k)) relative, so it is recorded as exactly zero
-    if hi < 1e-300:
+    if eps < 1e-300:
         eps = 0.0
+    # the reported x-bracket is ~1e-13 relative wide, about what the
+    # endpoint evaluations can still resolve; each end that moved off the
+    # sign-checked 0 or hi is checked again
+    half = 0.5e-13 / -math.log(ctx.q)
+    w_lo, w_hi = max(eps - half, 0.0), min(eps + half, hi)
+    for w, f_ref in ((w_lo, f_lo), (w_hi, f_hi)):
+        if w not in (0.0, hi):
+            f_w = _phi(ctx, k, w)
+            if f_w == 0.0 or (f_w > 0.0) != (f_ref > 0.0):
+                raise ZeroLocalizationError(
+                    f"no sign change across the refined bracket at k={k} "
+                    f"(q={ctx.q}, nu={ctx.nu})")
     q = ctx.q
     # each end is q**(-k + w) rounded to nearest: the exponent sum is off by
     # up to k/2 ulp and pow by another half ulp, so for tiny eps_k an end

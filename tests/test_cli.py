@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from qfb import cli
+from qfb import cli, zeros
+from qfb.qcore import QContext
 
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -81,7 +82,11 @@ class TestZerosCommand:
         run_cli(argv + ["--tol", "1e-6"], capsys)
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
-        assert json.loads(out)[0]["value"] == 1.916728395850936
+        # the default-tolerance zero is served, not the one solved at 1e-6
+        zeros._CACHE.clear()
+        value = json.loads(out)[0]["value"]
+        assert value == zeros.find_zero(QContext(0.5, 1.0), 1).value
+        assert value != 1.9167297209922123
 
     @pytest.mark.parametrize("edit", [
         lambda p: ["two"] + p[1:],               # a row that does not parse
@@ -244,6 +249,15 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--q", "0.7", "--family", "roundtrip"], capsys)
         assert code == 0
         assert json.loads(out)["families"]["roundtrip"]["residual"] < 1e-9
+
+    @pytest.mark.parametrize("family", ["qintegral", "byparts"])
+    def test_quadrature_families_pass_near_one(self, family, capsys):
+        # 0.9^256 no longer passes the stopping rule on the default grid: the
+        # integrands' tail models and the longer boundary-limit probe take over
+        code, out, _ = run_cli(["verify", "--q", "0.9", "--nu", "1", "--family", family],
+                               capsys)
+        assert code == 0
+        assert json.loads(out)["families"][family]["passed"]
 
     def test_family_that_raises_fails_without_traceback(self, capsys):
         # the mp zero-offset solve has no start where the first zero lies far

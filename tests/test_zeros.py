@@ -1,9 +1,12 @@
 import math
+import os
+import sys
 
+import mpmath as mp
 import pytest
 
 from qfb.qcore import QContext
-from qfb import zeros
+from qfb import highprec, zeros
 from qfb.qbessel import bessel_j
 from qfb.zeros import (
     OutOfRegimeError,
@@ -18,6 +21,9 @@ from qfb.zeros import (
 )
 
 from test_qbessel import mp_bessel_j
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+from workloads import zero_count  # noqa: E402  (three quarters of the envelope)
 
 
 CTX = QContext(0.5, 1.0)
@@ -128,6 +134,34 @@ def test_scan_brackets_hold_a_sign_change():
         lo = mp_bessel_j(q, nu, zk.bracket_lo, 60)
         hi = mp_bessel_j(q, nu, zk.bracket_hi, 60)
         assert (lo > 0) != (hi > 0), k
+
+
+def _eps_gap(q, nu, k):
+    """Relative gap of the float eps_k to the mp lane's at 40 digits; a zero
+    whose mp offset is below 1e-300 must come back as exactly 0."""
+    got = find_zero(QContext(q, nu), k).eps_k
+    with mp.workdps(40):
+        want = highprec.solve_zero_offset(q, nu, k)
+        if want < mp.mpf("1e-300"):
+            return 0.0 if got == 0.0 else math.inf
+        return float(abs(got - want) / want)
+
+
+class TestEnvelopeSweep:
+    """Float eps_k against the mp lane over the zeros workload's envelope."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.85])
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 3.0])
+    def test_eps_matches_mp_lane(self, q, nu):
+        k0 = regime_start(QContext(q, nu))
+        gaps = {k: _eps_gap(q, nu, k) for k in range(k0, zero_count(q) + 1)}
+        assert max(gaps.values()) <= 1e-12, gaps
+
+    @pytest.mark.parametrize("q,nu,k", [(0.5, 1.0, 20), (0.3, 3.0, 12)])
+    def test_offsets_far_below_one_ulp(self, q, nu, k):
+        # a bisection in eps once returned both about 15x off: the
+        # geometric midpoint sqrt(lo hi) underflowed to 0
+        assert _eps_gap(q, nu, k) <= 1e-12
 
 
 class TestEpsilonDecay:
